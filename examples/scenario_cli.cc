@@ -58,11 +58,24 @@ namespace {
 /// Minimal flag scanner: --name value pairs after the subcommand.
 class Flags {
  public:
+  // Arguments must pair up as `--name value`. A stray token or a trailing
+  // flag with no value stops parsing and is named in error(); the CLI then
+  // exits 2 rather than run with whatever parsed before it.
   Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) values_[argv[i] + 2] = argv[i + 1];
+    for (int i = first; i < argc; i += 2) {
+      if (std::strncmp(argv[i], "--", 2) != 0) {
+        error_ = std::string("unexpected argument '") + argv[i] +
+                 "' (expected --flag value pairs)";
+        return;
+      }
+      if (i + 1 == argc) {
+        error_ = std::string("flag '") + argv[i] + "' has no value";
+        return;
+      }
+      values_[argv[i] + 2] = argv[i + 1];
     }
   }
+  [[nodiscard]] const std::string& error() const { return error_; }
   // Numeric flags go through parse_count / parse_number below — strict,
   // full-token parses that exit 2 on garbage. There is deliberately no lax
   // std::stod accessor here.
@@ -73,6 +86,7 @@ class Flags {
 
  private:
   std::map<std::string, std::string> values_;
+  std::string error_;
 };
 
 bool parse_count(const Flags& flags, const std::string& name, std::size_t fallback,
@@ -844,23 +858,9 @@ int run_campus_scale_cmd(const Flags& flags, ObsSession& obs) {
     std::cerr << "scenario_cli: --duration and --tick must be positive\n";
     return 2;
   }
-  const std::string engine = flags.text("engine", "soa");
-  if (engine == "soa") config.engine = ScaleEngine::kSoa;
-  else if (engine == "naive") config.engine = ScaleEngine::kNaive;
-  else {
-    std::cerr << "scenario_cli: invalid --engine value '" << engine
-              << "' (expected soa or naive)\n";
-    return 2;
-  }
   std::size_t shards = 0, batch = 0;
   if (!parse_count(flags, "shards", 0, shards)) return 2;
   if (!parse_count(flags, "batch", 0, batch)) return 2;
-  if (shards > 0 && config.engine == ScaleEngine::kNaive) {
-    std::cerr << "scenario_cli: --engine naive is the monolithic pre-SoA "
-                 "baseline; it cannot run sharded (drop --shards or "
-                 "--engine)\n";
-    return 2;
-  }
   if (shards > cells) {
     std::cerr << "scenario_cli: --shards (" << shards << ") exceeds --cells ("
               << cells << "); cells are the unit of parallelism\n";
@@ -884,7 +884,6 @@ int run_campus_scale_cmd(const Flags& flags, ObsSession& obs) {
   obs.config_echo("duration", stats::fmt(duration, 1));
   obs.config_echo("tick", stats::fmt(tick, 2));
   obs.config_echo("seed", fmt_count(double(seed)));
-  obs.config_echo("engine", engine);
 
   if (shards > 0) {
     config.shards = shards;
@@ -911,7 +910,7 @@ int run_campus_scale_cmd(const Flags& flags, ObsSession& obs) {
   }
 
   const CampusScaleResult r = run_campus_scale(config);
-  std::cout << "engine=" << engine << " cells=" << cells << " portables=" << portables
+  std::cout << "engine=monolith cells=" << cells << " portables=" << portables
             << " events=" << r.events << " handoffs=" << r.handoffs
             << " admits=" << r.handoff_admitted << " drops=" << r.handoff_dropped
             << " blocked=" << r.new_blocked << " departed=" << r.departures
@@ -1211,11 +1210,11 @@ void usage() {
       "             --batch B windows per barrier dispatch, 0=adaptive;\n"
       "             metrics are byte-identical for any K and B)\n"
       "  campus-scale --cells N --portables M --duration S --tick T --seed S\n"
-      "             --engine soa|naive   (grid campus scaling harness; reports\n"
-      "             events/s and bytes-per-portable at up to 1000x100k)\n"
+      "             (grid campus scaling harness; reports events/s and\n"
+      "             bytes-per-portable at up to 1000x100k)\n"
       "  campus-scale --shards K   the same grid campus as one sharded-runner\n"
       "             domain per cell (K worker threads, --batch B as above;\n"
-      "             soa engine only; byte-identical for any K and B)\n"
+      "             byte-identical for any K and B)\n"
       "  faults     --topology twocell|campus --drop P --flaps F --crashes C\n"
       "             --stop T --horizon H --replications R --threads W --seed S\n"
       "             (convergence-under-faults harness: lossy control plane +\n"
@@ -1274,6 +1273,10 @@ int main(int argc, char** argv) {
   const bool bare_flags = std::strncmp(argv[1], "--", 2) == 0;
   const std::string command = bare_flags ? "campus" : argv[1];
   const Flags flags(argc, argv, bare_flags ? 1 : 2);
+  if (!flags.error().empty()) {
+    std::cerr << "scenario_cli: " << flags.error() << '\n';
+    return 2;
+  }
   ObsSession obs(flags);
   if (obs.flag_error) return 2;
   if (command == "classroom") return run_classroom_cmd(flags, obs);

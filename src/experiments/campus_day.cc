@@ -601,6 +601,8 @@ class CampusDay {
 
   /// A squatter repeatedly tries to open a bulk connection; once admitted it
   /// holds it for the rest of the day (the adversarial case for the meeting).
+  /// Retries stop at the horizon, like the periodic events: a room the
+  /// adaptive streams keep full would otherwise be retried forever.
   void squat(PortableId p) {
     if (demand_.contains(p.value())) return;
     if (probe_signaling() &&
@@ -609,7 +611,9 @@ class CampusDay {
       ++result_.squatter_admits;
     } else {
       ++result_.squatter_blocks;
-      retry_squat(p, simulator_.now().to_minutes() + 5.0);
+      if (simulator_.now() + Duration::minutes(5) <= horizon_) {
+        retry_squat(p, simulator_.now().to_minutes() + 5.0);
+      }
     }
     refresh();
   }

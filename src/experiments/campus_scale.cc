@@ -47,7 +47,11 @@ class ScaleSim {
         map_(scale_grid_floorplan(config.cells)),
         side_(detail::scale_grid_side(config.cells)),
         server_(net::ZoneId{0}),
-        predictor_(map_, server_) {
+        predictor_(map_, server_),
+        // Same day as the sharded engine (see scale_workload.h); the
+        // meetings are also booked into server_'s calendar for the predictor.
+        workload_(detail::generate_scale_workload(config, map_, &server_)),
+        n_ticks_(detail::scale_tick_count(config)) {
     for (const mobility::Cell& cell : map_.cells()) {
       directory_.add_cell(cell.id, cfg_.cell_capacity_bps);
     }
@@ -68,12 +72,13 @@ class ScaleSim {
     cursor_.assign(n, 0);
     last_reserved_.assign(n, kNoCell);
     occupancy_.assign(map_.size(), 0);
-
-    const double tick_s = std::max(cfg_.tick.to_seconds(), 1e-3);
-    n_ticks_ = std::size_t(cfg_.duration.to_seconds() / tick_s) + 1;
     buckets_.resize(n_ticks_);
 
-    generate_workload();
+    // Each portable's first wakeup is its appear milestone; run_tick sorts
+    // the due list, so bucket fill order is immaterial.
+    for (std::uint32_t p = 0; p < cfg_.portables; ++p) {
+      schedule_at(p, workload_.arena[p * kMilestonesPerPortable].time, /*after_tick=*/0);
+    }
   }
 
   CampusScaleResult run() {
@@ -100,23 +105,6 @@ class ScaleSim {
   }
 
  private:
-  // --- workload generation (engine-independent and shared with the sharded
-  // --- engine, so every engine sees the exact same milestone arena and
-  // --- demands; see scale_workload.h) -------------------------------------
-  void generate_workload() {
-    detail::ScaleWorkload w =
-        detail::generate_scale_workload(cfg_, map_, &server_);
-    home_ = std::move(w.home);
-    room_ = std::move(w.room);
-    demand_ = std::move(w.demand);
-    arena_ = std::move(w.arena);
-    // Each portable's first wakeup is its appear milestone; run_tick sorts
-    // the due list, so bucket fill order is immaterial.
-    for (std::uint32_t p = 0; p < cfg_.portables; ++p) {
-      schedule_at(p, arena_[p * kMilestonesPerPortable].time, /*after_tick=*/0);
-    }
-  }
-
   void schedule_at(std::uint32_t portable, double when, std::size_t after_tick) {
     if (after_tick >= n_ticks_) return;  // past the horizon; the flush handles it
     const double tick_s = std::max(cfg_.tick.to_seconds(), 1e-3);
@@ -154,7 +142,7 @@ class ScaleSim {
     if (movers_.empty()) return;
 
     // Phase B: one dispatcher pass over the movers, grouped per destination
-    // cell — the canonical admission order both engines share.
+    // cell, in (destination cell, portable id) order.
     std::sort(movers_.begin(), movers_.end());
     std::size_t i = 0;
     while (i < movers_.size()) {
@@ -166,7 +154,7 @@ class ScaleSim {
   }
 
   void fire_milestones(std::uint32_t p, double now, sim::SimTime now_t) {
-    Milestone* m = &arena_[p * kMilestonesPerPortable];
+    const Milestone* m = &workload_.arena[p * kMilestonesPerPortable];
     while (alive_[p] != 2 && cursor_[p] < kMilestonesPerPortable &&
            m[cursor_[p]].time <= now) {
       const Milestone& ms = m[cursor_[p]];
@@ -175,13 +163,13 @@ class ScaleSim {
       switch (ms.kind) {
         case Milestone::kAppear: {
           alive_[p] = 1;
-          current_[p] = home_[p];
+          current_[p] = workload_.home[p];
           prev_[p] = kNoCell;
-          target_[p] = gateway_of(room_[p]);
-          ++occupancy_[home_[p]];
-          reservation::CellBandwidth& account = directory_.at(CellId{home_[p]});
+          target_[p] = gateway_of(workload_.room[p]);
+          ++occupancy_[workload_.home[p]];
+          reservation::CellBandwidth& account = directory_.at(CellId{workload_.home[p]});
           const std::uint64_t a0 = prof_on_ ? obs::Profiler::now_ns() : 0;
-          const bool ok = account.admit_new(PortableId{p}, demand_[p]);
+          const bool ok = account.admit_new(PortableId{p}, workload_.demand[p]);
           if (prof_on_) {
             admission_ns_ += obs::Profiler::now_ns() - a0;
             ++admission_calls_;
@@ -189,14 +177,14 @@ class ScaleSim {
           connected_[p] = ok ? 1 : 0;
           if (ok && account.active_connections() == 1) ++busy_cells_;
           ok ? ++r_.new_admitted : ++r_.new_blocked;
-          mix_outcome(0x11, p, home_[p], ok);
+          detail::mix_outcome(hash_, 0x11, p, workload_.home[p], ok);
           break;
         }
         case Milestone::kEnter:
-          target_[p] = room_[p];
+          target_[p] = workload_.room[p];
           break;
         case Milestone::kLeave:
-          target_[p] = home_[p];
+          target_[p] = workload_.home[p];
           break;
         case Milestone::kDepart: {
           const std::uint32_t cur = current_[p];
@@ -206,16 +194,12 @@ class ScaleSim {
             room_obs_[obs_slot_[cur]].record_exit(PortableId{p}, now_t,
                                                   /*pass_through=*/false);
           }
-          const int slot = obs_slot_[room_[p]];
+          const int slot = obs_slot_[workload_.room[p]];
           if (slot >= 0) room_obs_[slot].record_final_departure(PortableId{p});
           --occupancy_[cur];
-          // Clear the position so the naive engine's roster scan agrees
-          // with the maintained occupancy counts.
-          current_[p] = kNoCell;
-          target_[p] = kNoCell;
           alive_[p] = 2;
           ++r_.departures;
-          mix_outcome(0x44, p, cur, true);
+          detail::mix_outcome(hash_, 0x44, p, cur, true);
           break;
         }
       }
@@ -224,14 +208,13 @@ class ScaleSim {
 
   void schedule_next_milestone(std::uint32_t p, std::size_t t) {
     if (cursor_[p] >= kMilestonesPerPortable) return;
-    schedule_at(p, arena_[p * kMilestonesPerPortable + cursor_[p]].time, t + 1);
+    schedule_at(p, workload_.arena[p * kMilestonesPerPortable + cursor_[p]].time, t + 1);
   }
 
   void process_destination_group(std::size_t begin, std::size_t end, std::size_t t,
                                  sim::SimTime now_t) {
     const std::uint32_t to = movers_[begin].to;
-    // kSoa fetches the destination account and observation slot once per
-    // group; kNaive re-derives its picture per mover below.
+    // The destination account and observation slot are fetched once per group.
     reservation::CellBandwidth& dest = directory_.at(CellId{to});
     const int dest_obs = obs_slot_[to];
 
@@ -239,35 +222,16 @@ class ScaleSim {
       const std::uint32_t p = movers_[i].portable;
       const std::uint32_t from = movers_[i].from;
 
-      // Destination occupancy before admission + busy-cell count: the SoA
-      // engine reads its O(1) bookkeeping; the naive engine rescans the
-      // whole roster and every cell account, the pre-SoA way. Both are the
-      // same integers and both feed the outcome hash.
-      std::uint64_t occ_before;
-      std::uint64_t busy;
-      if (cfg_.engine == ScaleEngine::kSoa) {
-        occ_before = occupancy_[to];
-        busy = busy_cells_;
-      } else {
-        // Literal pre-SoA portables_in: scan the whole roster, materialize
-        // and sort the resident list, then read its size.
-        naive_residents_.clear();
-        for (std::uint32_t q = 0; q < std::uint32_t(current_.size()); ++q) {
-          if (current_[q] == to) naive_residents_.push_back(q);
-        }
-        std::sort(naive_residents_.begin(), naive_residents_.end());
-        occ_before = naive_residents_.size();
-        busy = 0;
-        directory_.for_each_cell([&busy](CellId, const reservation::CellBandwidth& cell) {
-          busy += cell.active_connections() > 0;
-        });
-      }
+      // Destination occupancy and busy-cell count before admission, from the
+      // O(1) bookkeeping; both feed the outcome hash.
+      const std::uint64_t occ_before = occupancy_[to];
+      const std::uint64_t busy = busy_cells_;
 
       bool admitted = false;
       if (connected_[p]) {
         const std::uint64_t a0 = prof_on_ ? obs::Profiler::now_ns() : 0;
         release_connection(p, from);
-        admitted = dest.admit_handoff(PortableId{p}, demand_[p]);
+        admitted = dest.admit_handoff(PortableId{p}, workload_.demand[p]);
         if (prof_on_) {
           admission_ns_ += obs::Profiler::now_ns() - a0;
           ++admission_calls_;
@@ -313,7 +277,7 @@ class ScaleSim {
         }
         if (pred.next_cell && directory_.has(*pred.next_cell)) {
           const std::uint64_t rs0 = prof_on_ ? obs::Profiler::now_ns() : 0;
-          directory_.at(*pred.next_cell).reserve_for(PortableId{p}, demand_[p]);
+          directory_.at(*pred.next_cell).reserve_for(PortableId{p}, workload_.demand[p]);
           if (prof_on_) {
             reservation_ns_ += obs::Profiler::now_ns() - rs0;
             ++reservation_calls_;
@@ -323,9 +287,9 @@ class ScaleSim {
         }
       }
 
-      mix_outcome(0x22, p, (std::uint64_t(from) << 20) | to, admitted);
-      mix(occ_before);
-      mix(busy);
+      detail::mix_outcome(hash_, 0x22, p, (std::uint64_t(from) << 20) | to, admitted);
+      detail::mix(hash_, occ_before);
+      detail::mix(hash_, busy);
 
       if (current_[p] == target_[p]) {
         schedule_next_milestone(p, t);
@@ -359,26 +323,17 @@ class ScaleSim {
     return detail::gateway_of(side_, room);
   }
 
-  // --- outcome digest ------------------------------------------------------
-  void mix(std::uint64_t v) {
-    hash_ ^= v + 0x9e3779b97f4a7c15ULL + (hash_ << 6) + (hash_ >> 2);
-  }
-  void mix_outcome(std::uint64_t tag, std::uint32_t p, std::uint64_t detail, bool ok) {
-    mix((tag << 56) | (std::uint64_t(p) << 24) | (ok ? 1 : 0));
-    mix(detail);
-  }
-
   // --- reporting -----------------------------------------------------------
   std::size_t state_bytes() const {
-    std::size_t total = directory_.memory_bytes() + server_.memory_bytes();
+    std::size_t total = directory_.memory_bytes() + server_.memory_bytes() +
+                        workload_.memory_bytes();
     for (const prediction::CellObservations& obs : room_obs_) {
       total += obs.memory_bytes();
     }
-    total += home_.capacity() * sizeof(std::uint32_t) * 5;  // home/room/current/prev/target
-    total += last_reserved_.capacity() * sizeof(std::uint32_t);
-    total += demand_.capacity() * sizeof(double);
+    total += (current_.capacity() + prev_.capacity() + target_.capacity() +
+              last_reserved_.capacity()) *
+             sizeof(std::uint32_t);
     total += connected_.capacity() + alive_.capacity() + cursor_.capacity();
-    total += arena_.capacity() * sizeof(Milestone);
     total += occupancy_.capacity() * sizeof(std::uint32_t);
     total += buckets_.capacity() * sizeof(std::vector<std::uint32_t>);
     for (const auto& bucket : buckets_) {
@@ -392,21 +347,7 @@ class ScaleSim {
     r_.state_bytes = state_bytes();
     r_.bytes_per_portable =
         cfg_.portables ? double(r_.state_bytes) / double(cfg_.portables) : 0.0;
-    if (obs::Registry* reg = cfg_.metrics) {
-      reg->counter("scale.events").add(r_.events);
-      reg->counter("scale.ticks").add(r_.ticks);
-      reg->counter("scale.handoffs").add(r_.handoffs);
-      reg->counter("scale.new.admitted").add(r_.new_admitted);
-      reg->counter("scale.new.blocked").add(r_.new_blocked);
-      reg->counter("scale.handoff.admitted").add(r_.handoff_admitted);
-      reg->counter("scale.handoff.dropped").add(r_.handoff_dropped);
-      reg->counter("scale.reservations").add(r_.reservations_placed);
-      reg->counter("scale.departures").add(r_.departures);
-      reg->gauge("scale.state_bytes").set(double(r_.state_bytes));
-      reg->gauge("scale.bytes_per_portable").set(r_.bytes_per_portable);
-      reg->gauge("sim.time_seconds").set(cfg_.duration.to_seconds());
-      reg->counter("sim.events_fired").add(r_.events);
-    }
+    if (cfg_.metrics) detail::export_scale_metrics(cfg_, r_, *cfg_.metrics);
     if (prof_on_) {
       // The tick loop splits into the paper's four resource-management
       // phases; whatever the fine-grained probes did not claim (milestone
@@ -431,17 +372,16 @@ class ScaleSim {
   reservation::ReservationDirectory directory_;
   profiles::ProfileServer server_;
   prediction::ThreeLevelPredictor predictor_;
+  detail::ScaleWorkload workload_;  // read-only after construction
 
   // SoA portable state, indexed by portable id.
-  std::vector<std::uint32_t> home_, room_, current_, prev_, target_;
-  std::vector<double> demand_;
+  std::vector<std::uint32_t> current_, prev_, target_;
   std::vector<std::uint8_t> connected_;
   std::vector<std::uint8_t> alive_;  // 0 unborn, 1 active, 2 departed
   std::vector<std::uint8_t> cursor_;
   std::vector<std::uint32_t> last_reserved_;
-  std::vector<Milestone> arena_;  // stride kMilestonesPerPortable per portable
 
-  // O(1) bookkeeping the SoA engine reads; the naive engine recomputes.
+  // O(1) per-cell bookkeeping: residents per cell, cells with a connection.
   std::vector<std::uint32_t> occupancy_;
   std::uint64_t busy_cells_ = 0;
 
@@ -455,9 +395,8 @@ class ScaleSim {
   std::size_t n_ticks_ = 0;
   std::vector<std::vector<std::uint32_t>> buckets_;
   std::vector<Mover> movers_;
-  std::vector<std::uint32_t> naive_residents_;  // kNaive's scratch roster scan
 
-  std::uint64_t hash_ = 0x6a09e667f3bcc908ULL;
+  std::uint64_t hash_ = detail::kScaleHashSeed;
   CampusScaleResult r_;
 
   // Wall-clock phase accounting (ISSUE 7); all zero-cost unless prof_on_.
@@ -475,6 +414,28 @@ namespace detail {
 std::size_t scale_grid_side(std::size_t cells) {
   std::size_t side = std::size_t(std::ceil(std::sqrt(double(cells))));
   return std::max<std::size_t>(side, 1);
+}
+
+std::size_t scale_tick_count(const CampusScaleConfig& config) {
+  const double tick_s = std::max(config.tick.to_seconds(), 1e-3);
+  return std::size_t(config.duration.to_seconds() / tick_s) + 1;
+}
+
+void export_scale_metrics(const CampusScaleConfig& config,
+                          const CampusScaleResult& r, obs::Registry& reg) {
+  reg.counter("scale.events").add(r.events);
+  reg.counter("scale.ticks").add(r.ticks);
+  reg.counter("scale.handoffs").add(r.handoffs);
+  reg.counter("scale.new.admitted").add(r.new_admitted);
+  reg.counter("scale.new.blocked").add(r.new_blocked);
+  reg.counter("scale.handoff.admitted").add(r.handoff_admitted);
+  reg.counter("scale.handoff.dropped").add(r.handoff_dropped);
+  reg.counter("scale.reservations").add(r.reservations_placed);
+  reg.counter("scale.departures").add(r.departures);
+  reg.gauge("scale.state_bytes").set(double(r.state_bytes));
+  reg.gauge("scale.bytes_per_portable").set(r.bytes_per_portable);
+  reg.gauge("sim.time_seconds").set(config.duration.to_seconds());
+  reg.counter("sim.events_fired").add(r.events);
 }
 
 ScaleWorkload generate_scale_workload(const CampusScaleConfig& cfg,

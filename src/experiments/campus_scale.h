@@ -1,36 +1,26 @@
-// Campus-at-scale harness (ISSUE 6 tentpole): a grid campus of N cells and
-// M portables driven through class-schedule workloads, built to measure how
-// the SoA/arena data layout scales — events/s and bytes-per-portable at up
-// to 1000 cells x 100k portables.
+// Campus-at-scale harness: a grid campus of N cells and M portables driven
+// through class-schedule workloads, at up to 1000 cells x 100k portables.
 //
-// Two engines run the SAME deterministic workload through the SAME admission
-// order (movers sorted by (destination cell, portable id) each tick):
+// Two engines run the SAME deterministic generated day (scale_workload.h):
 //
-//   kSoa   — the shipping layout: dense id-indexed arrays, per-cell resident
-//            counts maintained in O(1), batched per-destination-cell handoff
-//            groups, predictor/profile lookups on the admission path served
-//            from cache-resident flat tables. A mobility tick costs
-//            O(active movers).
-//   kNaive — the pre-SoA access pattern, kept as an honest baseline: every
-//            mover re-derives destination occupancy by scanning the full
-//            portable roster (O(M)) and re-derives the busy-cell picture by
-//            sweeping every cell account (O(N)), the way map-based policy
-//            refresh used to.
+//   run_campus_scale — the monolith: dense id-indexed (SoA) arrays, per-cell
+//            resident counts maintained in O(1), movers admitted in
+//            (destination cell, portable id) order each tick, with the
+//            paper's three-level predictor and profiles placing advance
+//            reservations. A mobility tick costs O(active movers).
+//   run_campus_scale_sharded — one sim::ShardedRunner domain per cell:
+//            milestones fire in per-cell tick handlers, walkers travel as
+//            boundary messages with one-tick latency, and admission and
+//            reservation state is cell-local. It is its own oracle —
+//            byte-identical across any shard/batch count (the runner's
+//            contract), but deliberately NOT decision-identical with the
+//            monolith: global state the monolith consults on the admission
+//            path (the ThreeLevelPredictor, the busy-cell census) has no
+//            partition-invariant cell-local equivalent, so the sharded engine
+//            reserves along the walking route instead of along predicted
+//            mobility (see DESIGN.md).
 //
-// Both engines fold the same integer observations (occupancy before
-// admission, admission outcome, busy-cell count) into `outcome_hash`, so a
-// test can assert the layouts are behaviorally identical while the clock
-// shows the complexity gap.
-// A third front end, run_campus_scale_sharded (ISSUE 10), executes the same
-// generated workload as one sim::ShardedRunner domain per cell: milestones
-// fire in per-cell tick handlers, walkers travel as boundary messages with
-// one-tick latency, and admission/reservation state is cell-local. It is its
-// own oracle — byte-identical across any shard/batch count (the runner's
-// contract), but deliberately NOT decision-identical with the monolithic
-// engines: global state the monolith consults on the admission path (the
-// ThreeLevelPredictor, the busy-cell census) has no partition-invariant
-// cell-local equivalent, so the sharded engine reserves along the walking
-// route instead of along predicted mobility (see DESIGN.md).
+// Each engine folds its decisions into `outcome_hash`; tests pin both.
 #pragma once
 
 #include <cstddef>
@@ -48,8 +38,6 @@ class Tracer;
 
 namespace imrm::experiments {
 
-enum class ScaleEngine { kNaive, kSoa };
-
 struct CampusScaleConfig {
   std::size_t cells = 100;
   std::size_t portables = 1000;
@@ -58,7 +46,6 @@ struct CampusScaleConfig {
   sim::Duration tick = sim::Duration::seconds(5);
   double cell_capacity_bps = 1.6e6;
   std::uint64_t seed = 5;
-  ScaleEngine engine = ScaleEngine::kSoa;
   /// Optional metric registry: scale.* counters, resv.* admission telemetry,
   /// scale.bytes_* gauges, and the sim.time_seconds / sim.events_fired pair
   /// the CLI report reads.
@@ -71,8 +58,8 @@ struct CampusScaleConfig {
   /// Optional stderr heartbeat, polled once per tick (the sharded engine
   /// polls once per coordinator dispatch, with straggler attribution).
   obs::ProgressMeter* progress = nullptr;
-  /// Sharded-engine knobs (run_campus_scale_sharded only; the monolithic
-  /// engines ignore all three). `shards` is the worker-thread count —
+  /// Sharded-engine knobs (run_campus_scale_sharded only; the monolith
+  /// ignores all three). `shards` is the worker-thread count —
   /// execution only, results are byte-identical for any value. `batch` is
   /// windows per coordinator dispatch (0 = adaptive), equally result-
   /// invariant. `tracer` receives the runner's wall lanes when profiling.
@@ -95,12 +82,12 @@ struct CampusScaleResult {
   /// observations, SoA arrays, milestone arena, scheduler buckets).
   std::size_t state_bytes = 0;
   double bytes_per_portable = 0.0;
-  /// Order-sensitive digest of every admission decision; equal across
-  /// engines iff they made identical decisions in identical order. (The
+  /// Order-sensitive digest of every admission decision: equal across two
+  /// runs iff they made identical decisions in identical order. (The
   /// sharded engine folds per-cell digests in cell order — comparable across
-  /// shard/batch counts, not with the monolithic engines.)
+  /// shard/batch counts, not with the monolith.)
   std::uint64_t outcome_hash = 0;
-  /// Sharded-engine execution totals (zero for the monolithic engines).
+  /// Sharded-engine execution totals (zero for the monolith).
   /// `windows` and `boundary_messages` are batch/shard-invariant;
   /// `dispatches` is a pure execution statistic (varies with `batch` and the
   /// adaptive controller) and must never feed golden outputs.
@@ -125,11 +112,9 @@ struct CampusScaleResult {
 /// (the runner's contiguous worker-block assignment is the cell→shard
 /// partitioner), window = config.tick, every cross-cell interaction — a
 /// walking portable, an advance reservation, a stale-reservation cancel — a
-/// boundary message with one-tick latency. config.engine must be kSoa
-/// (kNaive's whole-roster rescans are meaningless without global state; the
-/// CLI rejects the combination). Deterministic and byte-identical for any
-/// (shards, batch); config.metrics additionally receives the runner's
-/// shard.windows / shard.boundary_messages counters.
+/// boundary message with one-tick latency. Deterministic and byte-identical
+/// for any (shards, batch); config.metrics additionally receives the
+/// runner's shard.windows / shard.boundary_messages counters.
 [[nodiscard]] CampusScaleResult run_campus_scale_sharded(
     const CampusScaleConfig& config);
 

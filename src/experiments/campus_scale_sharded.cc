@@ -27,7 +27,7 @@
 // folds per-cell hashes in cell-id order — so every output (outcome_hash,
 // counters, metrics JSON) is byte-identical for any shard count and any
 // batch size. The engine is its own oracle; it is NOT decision-identical
-// with the monolithic engines (see campus_scale.h).
+// with the monolithic engine (see campus_scale.h).
 #include "experiments/campus_scale.h"
 
 #include <algorithm>
@@ -45,17 +45,10 @@ namespace imrm::experiments {
 namespace {
 
 constexpr std::uint32_t kNoCell = net::CellId::invalid().value();
-constexpr std::uint64_t kHashSeed = 0x6a09e667f3bcc908ULL;  // as the monolith
 constexpr std::size_t kStride = detail::kScaleMilestonesPerPortable;
 
-void mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-}
-void mix_outcome(std::uint64_t& h, std::uint64_t tag, std::uint32_t p,
-                 std::uint64_t detail_v, bool ok) {
-  mix(h, (tag << 56) | (std::uint64_t(p) << 24) | (ok ? 1 : 0));
-  mix(h, detail_v);
-}
+using detail::mix;
+using detail::mix_outcome;
 
 /// The migrating per-portable state. Travels by value inside mover messages;
 /// at rest it lives in exactly one cell's resident list. Everything else a
@@ -79,9 +72,6 @@ class ShardedScaleSim {
         runner_(sim::ShardedRunner::Config{
             config.cells, config.shards, config.tick, config.batch,
             config.profiler, config.tracer, config.progress}) {
-    const double tick_s = std::max(cfg_.tick.to_seconds(), 1e-3);
-    n_ticks_ = std::size_t(cfg_.duration.to_seconds() / tick_s) + 1;
-
     cells_.resize(cfg_.cells);
     for (std::size_t i = 0; i < cfg_.cells; ++i) {
       cells_[i].id = std::uint32_t(i);
@@ -125,7 +115,7 @@ class ShardedScaleSim {
     double allocated = 0.0;
     std::uint32_t connections = 0;
     std::uint32_t occupancy = 0;
-    std::uint64_t hash = kHashSeed;
+    std::uint64_t hash = detail::kScaleHashSeed;
     // Scenario counters, summed in finish().
     std::uint64_t events = 0;
     std::uint64_t handoffs = 0;
@@ -329,8 +319,8 @@ class ShardedScaleSim {
 
   CampusScaleResult finish() {
     CampusScaleResult r;
-    r.ticks = n_ticks_;
-    std::uint64_t fold = kHashSeed;
+    r.ticks = detail::scale_tick_count(cfg_);
+    std::uint64_t fold = detail::kScaleHashSeed;
     for (const CellState& c : cells_) {
       r.events += c.events;
       r.handoffs += c.handoffs;
@@ -350,19 +340,7 @@ class ShardedScaleSim {
     r.dispatches = runner_.stats().dispatches;
     r.boundary_messages = runner_.stats().boundary_messages;
     if (obs::Registry* reg = cfg_.metrics) {
-      reg->counter("scale.events").add(r.events);
-      reg->counter("scale.ticks").add(r.ticks);
-      reg->counter("scale.handoffs").add(r.handoffs);
-      reg->counter("scale.new.admitted").add(r.new_admitted);
-      reg->counter("scale.new.blocked").add(r.new_blocked);
-      reg->counter("scale.handoff.admitted").add(r.handoff_admitted);
-      reg->counter("scale.handoff.dropped").add(r.handoff_dropped);
-      reg->counter("scale.reservations").add(r.reservations_placed);
-      reg->counter("scale.departures").add(r.departures);
-      reg->gauge("scale.state_bytes").set(double(r.state_bytes));
-      reg->gauge("scale.bytes_per_portable").set(r.bytes_per_portable);
-      reg->gauge("sim.time_seconds").set(cfg_.duration.to_seconds());
-      reg->counter("sim.events_fired").add(r.events);
+      detail::export_scale_metrics(cfg_, r, *reg);
       // Engine totals; both are batch- and shard-invariant (dispatches are
       // not, and deliberately stay out of the metrics block).
       reg->counter("shard.windows").add(r.windows);
@@ -381,7 +359,6 @@ class ShardedScaleSim {
   detail::ScaleWorkload workload_;  // read-only after construction
   sim::ShardedRunner runner_;
   std::vector<CellState> cells_;
-  std::size_t n_ticks_ = 0;
 };
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Shared deterministic workload for the campus-at-scale engines.
+// Shared core of the two campus-at-scale engines.
 //
-// The monolithic tick engines (campus_scale.cc, ISSUE 6) and the sharded
-// per-cell engine (campus_scale_sharded.cc, ISSUE 10) run the SAME
+// The monolithic tick engine (campus_scale.cc) and the sharded per-cell
+// engine (campus_scale_sharded.cc) run the SAME
 // class-schedule day: every portable gets a home office, a meeting room, one
 // class period, a connection-bandwidth demand, and four milestones (appear,
 // enter room, leave room, depart) laid out stride-4 in one arena.
@@ -13,7 +13,8 @@
 // The grid-routing helpers live here too: both engines walk portables along
 // identical scale_grid_floorplan paths (columns vertically, row 0 as the
 // horizontal backbone), and the sharded engine routes its advance
-// reservations with the same function.
+// reservations with the same function. So do the pieces both engines report
+// through: the outcome digest, the tick count and the metric export.
 #pragma once
 
 #include <cstddef>
@@ -22,12 +23,17 @@
 
 #include "mobility/floorplan.h"
 
+namespace imrm::obs {
+class Registry;
+}  // namespace imrm::obs
+
 namespace imrm::profiles {
 class ProfileServer;
 }  // namespace imrm::profiles
 
 namespace imrm::experiments {
 struct CampusScaleConfig;
+struct CampusScaleResult;
 }  // namespace imrm::experiments
 
 namespace imrm::experiments::detail {
@@ -66,6 +72,31 @@ struct ScaleWorkload {
 
 /// Grid side length used by scale_grid_floorplan: ceil(sqrt(cells)).
 [[nodiscard]] std::size_t scale_grid_side(std::size_t cells);
+
+/// Scheduler ticks in a run: one at t=0 and one per tick through the
+/// duration (a tick below 1 ms counts as 1 ms).
+[[nodiscard]] std::size_t scale_tick_count(const CampusScaleConfig& config);
+
+/// Adds the scale.* counters and gauges plus the sim.time_seconds /
+/// sim.events_fired pair the CLI report reads.
+void export_scale_metrics(const CampusScaleConfig& config,
+                          const CampusScaleResult& result, obs::Registry& registry);
+
+/// Seed of the outcome digest (CampusScaleResult::outcome_hash).
+inline constexpr std::uint64_t kScaleHashSeed = 0x6a09e667f3bcc908ULL;
+
+/// Folds one value into an order-sensitive outcome digest.
+inline void mix(std::uint64_t& hash, std::uint64_t v) {
+  hash ^= v + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2);
+}
+
+/// Folds one decision: `tag` names its kind (0x11 appear, 0x22 handoff,
+/// 0x44 depart), `ok` its verdict, `detail` the cells involved.
+inline void mix_outcome(std::uint64_t& hash, std::uint64_t tag, std::uint32_t p,
+                        std::uint64_t detail, bool ok) {
+  mix(hash, (tag << 56) | (std::uint64_t(p) << 24) | (ok ? 1 : 0));
+  mix(hash, detail);
+}
 
 /// One routing step on the grid: climb to the row-0 backbone, traverse it
 /// horizontally, then descend the target column. Every step is a valid edge

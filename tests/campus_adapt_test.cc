@@ -131,5 +131,19 @@ TEST(CampusAdaptLoop, DisabledLoopLeavesNoTrace) {
   EXPECT_EQ(json.find("adapt."), std::string::npos) << json;
 }
 
+TEST(CampusAdaptLoop, DefaultDayWithSquattersEnds) {
+  // The default 40-attendee day: the adaptive streams keep the room full, so
+  // blocked squatters are never admitted late. Their retries must stop at
+  // the horizon, and the day must end with these counts.
+  CampusDayConfig config;
+  config.adapt.enabled = true;
+  const CampusDayResult r = run_campus_day(config);
+  EXPECT_EQ(r.attendee_drops, 5u);
+  EXPECT_EQ(r.squatter_blocks, 77u);
+  EXPECT_EQ(r.squatter_admits, 6u);
+  EXPECT_EQ(r.handoffs, 380u);
+  EXPECT_DOUBLE_EQ(r.adapt_granted_final_bps, kbps(1024));
+}
+
 }  // namespace
 }  // namespace imrm::experiments
