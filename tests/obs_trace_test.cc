@@ -76,6 +76,78 @@ TEST(Tracer, BoundedCapacityCountsDrops) {
   EXPECT_NE(os.str().find("\"dropped_records\":2"), std::string::npos);
 }
 
+TEST(Trace, RecordsAndCounts) {
+  Tracer tracer;
+  tracer.set_enabled(true);
+  const obs::NameId name = tracer.intern("handoff", "mobility");
+  tracer.instant(SimTime::seconds(1), name, 7, 16000.0);
+  tracer.complete(SimTime::seconds(2), SimTime::seconds(3.5), name, 2);
+  tracer.counter(SimTime::seconds(3), name, 12.0);
+  std::string phases;
+  tracer.records().for_each([&](const obs::TraceRecord& r) { phases += r.phase; });
+  EXPECT_EQ(phases, "iXC");
+  // Simulated seconds land as trace microseconds on pid 1.
+  EXPECT_EQ(tracer.records()[0].ts_us, 1e6);
+  EXPECT_EQ(tracer.records()[0].track, 7u);
+  EXPECT_EQ(tracer.records()[0].value, 16000.0);
+  EXPECT_EQ(tracer.records()[0].pid, 1u);
+  EXPECT_EQ(tracer.records()[1].dur_us, 1.5e6);
+}
+
+TEST(Trace, ClearEmpties) {
+  Tracer tracer(2);
+  tracer.set_enabled(true);
+  const obs::NameId name = tracer.intern("e");
+  for (int i = 0; i < 3; ++i) tracer.instant(SimTime::seconds(i), name);
+  ASSERT_EQ(tracer.dropped(), 1u);
+  tracer.clear();
+  EXPECT_EQ(tracer.records().size(), 0u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+  EXPECT_EQ(tracer.intern("e"), name);  // interned ids survive a clear
+}
+
+TEST(Trace, BoundedCapacityEvictsOldest) {
+  Tracer tracer(3);
+  tracer.set_enabled(true);
+  const obs::NameId name = tracer.intern("e");
+  tracer.instant(SimTime::seconds(0), name);
+  tracer.complete(SimTime::seconds(1), SimTime::seconds(1.5), name);
+  tracer.counter(SimTime::seconds(2), name, 2.0);
+  tracer.instant(SimTime::seconds(3), name);
+  tracer.complete(SimTime::seconds(4), SimTime::seconds(4.5), name);
+  EXPECT_EQ(tracer.dropped(), 2u);
+  // The export holds exactly the retained window (t = 2, 3, 4), in order.
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  const std::string json = os.str();
+  EXPECT_EQ(json.find("\"ts\":0,"), std::string::npos);
+  EXPECT_EQ(json.find("\"ts\":1e+06,"), std::string::npos);
+  const auto t2 = json.find("\"ts\":2e+06,"), t4 = json.find("\"ts\":4e+06,");
+  EXPECT_LT(t2, json.find("\"ts\":3e+06,"));
+  EXPECT_LT(json.find("\"ts\":3e+06,"), t4);
+  EXPECT_NE(t4, std::string::npos);
+}
+
+TEST(Tracer, ZeroCapacityIsUnbounded) {
+  Tracer tracer(0);
+  tracer.set_enabled(true);
+  const obs::NameId name = tracer.intern("handoff");
+  for (int s = 0; s < 1000; ++s) tracer.instant(SimTime::seconds(s), name);
+  EXPECT_EQ(tracer.records().size(), 1000u);
+  EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+TEST(Tracer, ExportEscapesNames) {
+  Tracer tracer;
+  tracer.set_enabled(true);
+  tracer.instant(SimTime::seconds(1.5), tracer.intern("note, with \"quote\"", "a\\b"));
+  std::ostringstream os;
+  tracer.write_chrome_trace(os);
+  EXPECT_NE(os.str().find(R"("name":"note, with \"quote\"","cat":"a\\b","ph":"i")"),
+            std::string::npos)
+      << os.str();
+}
+
 namespace {
 
 /// The deterministic trace behind the golden file: one of each record kind.

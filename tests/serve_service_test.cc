@@ -1,5 +1,5 @@
 // AdmissionService tests: OverloadGovernor unit behaviour, typed service
-// errors, and the virtual-pacing soak runs (sub-saturation, past-saturation
+// errors, the virtual-pacing soak runs (sub-saturation, past-saturation
 // shed engagement, bit-determinism) the ISSUE acceptance criteria name.
 #include "serve/service.h"
 
@@ -334,6 +334,39 @@ TEST(ServeSoak, VirtualPacingIsDeterministic) {
   // passing vacuously (e.g. everything zero).
   const SoakResult c = run_soak(7500.0, 5.0, 16, 8);
   EXPECT_NE(a.service.offered, c.service.offered);
+}
+
+// ---- LoadDriver Poisson arrivals ----------------------------------------
+
+DriveStats drive_poisson(double rate, double duration_s, std::uint64_t seed,
+                         sim::Simulator& simulator, obs::Registry& registry) {
+  AdmissionService service(ServiceConfig{}, simulator);
+  RingTransport ring;
+  DriveConfig drive_config;
+  drive_config.rate = rate;
+  drive_config.duration_s = duration_s;
+  drive_config.seed = seed;
+  drive_config.metrics = &registry;
+  return LoadDriver(drive_config).run_virtual(simulator, ring, service);
+}
+
+TEST(PoissonArrivals, CountMatchesRateTimesHorizon) {
+  sim::Simulator simulator;
+  obs::Registry registry;
+  const DriveStats stats = drive_poisson(2.0, 1000.0, 3, simulator, registry);
+  EXPECT_NEAR(double(stats.sent), 2000.0, 150.0);  // ~3 sigma of a Poisson(2000)
+  EXPECT_EQ(stats.unanswered, 0u);
+}
+
+TEST(PoissonArrivals, StopsAtHorizon) {
+  sim::Simulator simulator;
+  obs::Registry registry;
+  std::uint64_t sent_by_horizon = 0;  // the live counter when the window closes
+  simulator.at(sim::SimTime::seconds(10.0),
+               [&] { sent_by_horizon = registry.counter("drive.sent").value(); });
+  const DriveStats stats = drive_poisson(10.0, 10.0, 5, simulator, registry);
+  EXPECT_GT(sent_by_horizon, 0u);
+  EXPECT_EQ(stats.sent, sent_by_horizon);
 }
 
 }  // namespace
