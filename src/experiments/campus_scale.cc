@@ -258,7 +258,14 @@ class ScaleSim {
       ++r_.handoffs;
       ++r_.events;
 
-      server_.record_handoff(PortableId{p}, CellId{prev2}, CellId{from}, CellId{to});
+      {
+        const std::uint64_t u0 = prof_on_ ? obs::Profiler::now_ns() : 0;
+        server_.record_handoff(PortableId{p}, CellId{prev2}, CellId{from}, CellId{to});
+        if (prof_on_) {
+          profiles_ns_ += obs::Profiler::now_ns() - u0;
+          ++profiles_calls_;
+        }
+      }
       if (obs_slot_[from] >= 0) {
         room_obs_[obs_slot_[from]].record_exit(PortableId{p}, now_t,
                                                /*pass_through=*/prev2 != to);
@@ -350,18 +357,19 @@ class ScaleSim {
     if (cfg_.metrics) detail::export_scale_metrics(cfg_, r_, *cfg_.metrics);
     if (prof_on_) {
       // The tick loop splits into the paper's four resource-management
-      // phases; whatever the fine-grained probes did not claim (milestone
-      // firing, routing, occupancy bookkeeping, observation records) is the
-      // mobility share.
+      // phases plus the zone profile update; whatever the fine-grained
+      // probes did not claim (milestone firing, routing, occupancy
+      // bookkeeping, observation records) is the mobility share.
       obs::Profiler& prof = *cfg_.profiler;
       const std::uint64_t claimed =
-          admission_ns_ + prediction_ns_ + reservation_ns_;
+          admission_ns_ + prediction_ns_ + reservation_ns_ + profiles_ns_;
       prof.record(prof.intern("scale.mobility"),
                   loop_ns_ - std::min(claimed, loop_ns_), r_.ticks);
       prof.record(prof.intern("scale.admission"), admission_ns_, admission_calls_);
       prof.record(prof.intern("scale.prediction"), prediction_ns_, prediction_calls_);
       prof.record(prof.intern("scale.reservation"), reservation_ns_,
                   reservation_calls_);
+      prof.record(prof.intern("scale.profiles"), profiles_ns_, profiles_calls_);
     }
     return r_;
   }
@@ -405,6 +413,7 @@ class ScaleSim {
   std::uint64_t admission_ns_ = 0, admission_calls_ = 0;
   std::uint64_t prediction_ns_ = 0, prediction_calls_ = 0;
   std::uint64_t reservation_ns_ = 0, reservation_calls_ = 0;
+  std::uint64_t profiles_ns_ = 0, profiles_calls_ = 0;
 };
 
 }  // namespace

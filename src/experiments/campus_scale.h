@@ -52,8 +52,9 @@ struct CampusScaleConfig {
   obs::Registry* metrics = nullptr;
   /// Optional wall-clock attribution (ISSUE 7): the tick loop is split into
   /// scale.mobility / scale.admission / scale.prediction / scale.reservation
-  /// phases recorded once per run. Observation-only — decisions, the outcome
-  /// hash, and all metrics are identical with profiling on or off.
+  /// / scale.profiles (the monolith's zone profile update) phases recorded
+  /// once per run. Observation-only — decisions, the outcome hash, and all
+  /// metrics are identical with profiling on or off.
   obs::Profiler* profiler = nullptr;
   /// Optional stderr heartbeat, polled once per tick (the sharded engine
   /// polls once per coordinator dispatch, with straggler attribution).

@@ -6,15 +6,22 @@
 // as <previous, current, next>, keeps the most recent N_pP per (previous,
 // current) state, and predicts the majority next-cell.
 //
-// Storage is a sorted flat vector keyed on the packed (previous << 32) |
-// current state id. A portable visits a handful of states, so binary search
-// over a contiguous array beats the node-per-state std::map this used to be:
-// the predictor probes this structure on every handoff at campus scale.
-// Packed-key ascending order is exactly the old std::map<std::pair<CellId,
-// CellId>, ...> order, so checkpoint bytes are unchanged. Each state's
-// window is a fixed-capacity HistoryWindow ring: eviction is an O(1)
-// overwrite and the per-portable footprint is pinned no matter how many
-// handoffs churn through (tested at 20k in profiles_test).
+// Storage is two parallel dense vectors: the packed (previous << 32) |
+// current state keys in first-seen order, and each state's HistoryWindow
+// ring at the same index. A new state is appended; existing states never
+// move. On the 1000-cell grid campus every record opens a new state and a
+// portable ends its hour with about 63, where a sorted array shifted ~1-2 KB
+// of states per record. A lookup is a linear scan of the key array: there
+// it scans ~30 keys on average, and ~10 and ~4 in the serve and Fig. 4
+// workloads, where states repeat. Portables that collect hundreds of states
+// have not been measured. Windows keep their first two observations inline
+// (see history_window.h). Eviction is an O(1) ring overwrite and the
+// per-portable footprint is pinned no matter how many handoffs churn
+// through (tested at 20k in profiles_test).
+//
+// Checkpoints write states in ascending packed-key order, exactly the order
+// of the original std::map<std::pair<CellId, CellId>, ...>, so checkpoint
+// bytes do not depend on the order states were first seen.
 #pragma once
 
 #include <cstddef>
@@ -60,21 +67,18 @@ class PortableProfile {
   [[nodiscard]] static PortableProfile restore_state(sim::CheckpointReader& r);
 
  private:
-  struct State {
-    std::uint64_t key;      // (previous << 32) | current
-    HistoryWindow window;   // oldest first, newest last; capacity = window_
-  };
-
   static std::uint64_t pack(CellId previous, CellId current) {
     return (std::uint64_t(previous.value()) << 32) | current.value();
   }
 
-  [[nodiscard]] const State* find(std::uint64_t key) const;
-  [[nodiscard]] State& find_or_insert(std::uint64_t key);
+  [[nodiscard]] const HistoryWindow* find(std::uint64_t key) const;
+  [[nodiscard]] HistoryWindow& find_or_insert(std::uint64_t key);
+  [[nodiscard]] HistoryWindow& append(std::uint64_t key);  // key must be new
 
   PortableId id_;
   std::size_t window_;
-  std::vector<State> history_;  // sorted by key
+  std::vector<std::uint64_t> keys_;      // (previous << 32) | current, first-seen order
+  std::vector<HistoryWindow> windows_;   // windows_[i] belongs to keys_[i]
 };
 
 }  // namespace imrm::profiles

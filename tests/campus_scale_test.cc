@@ -47,7 +47,7 @@ void expect_golden(const CampusScaleResult& r, const Golden& g) {
 TEST(CampusScale, MonolithMatchesGoldenOutcome) {
   expect_golden(run_campus_scale(small_config()),
                 {336605142126680496ull, 8156, 6156, 482, 18, 3548, 260, 3460, 500,
-                 652772});  // 1305.544 bytes/portable
+                 508324});  // 1016.648 bytes/portable
 }
 
 TEST(CampusScale, ShardedMatchesGoldenOutcome) {

@@ -116,7 +116,8 @@ TEST(Histogram, PercentileInterpolates) {
 TEST(Histogram, PercentileOfEmptyHistogramIsZero) {
   Registry registry;
   registry.histogram("v", HistogramSpec::linear(0.0, 10.0, 10));
-  const obs::HistogramSample* s = registry.snapshot().histogram("v");
+  const Snapshot snap = registry.snapshot();
+  const obs::HistogramSample* s = snap.histogram("v");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->percentile(0.0), 0.0);
   EXPECT_EQ(s->percentile(0.5), 0.0);
@@ -129,7 +130,8 @@ TEST(Histogram, PercentileExtremesReturnObservedMinAndMax) {
   h.record(12.5);
   h.record(34.0);
   h.record(87.25);
-  const obs::HistogramSample* s = registry.snapshot().histogram("v");
+  const Snapshot snap = registry.snapshot();
+  const obs::HistogramSample* s = snap.histogram("v");
   ASSERT_NE(s, nullptr);
   // Exactly the observed extremes — not the containing buckets' bounds.
   EXPECT_DOUBLE_EQ(s->percentile(0.0), 12.5);
@@ -141,7 +143,8 @@ TEST(Histogram, PercentileSingleSaturatedBucketStaysInSampleRange) {
   obs::Histogram& h = registry.histogram("v", HistogramSpec::linear(0.0, 100.0, 10));
   // All mass in one [30, 40) bucket, samples confined to [33, 34].
   for (int i = 0; i < 1000; ++i) h.record(33.0 + (i % 2));
-  const obs::HistogramSample* s = registry.snapshot().histogram("v");
+  const Snapshot snap = registry.snapshot();
+  const obs::HistogramSample* s = snap.histogram("v");
   ASSERT_NE(s, nullptr);
   for (const double q : {0.01, 0.25, 0.5, 0.9, 0.99}) {
     SCOPED_TRACE(q);
@@ -156,7 +159,8 @@ TEST(Histogram, PercentileWithAllMassOutOfRangeStaysInSampleRange) {
   h.record(2.0);    // underflow
   h.record(3.0);    // underflow
   h.record(150.0);  // overflow
-  const obs::HistogramSample* s = registry.snapshot().histogram("v");
+  const Snapshot snap = registry.snapshot();
+  const obs::HistogramSample* s = snap.histogram("v");
   ASSERT_NE(s, nullptr);
   for (const double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
     SCOPED_TRACE(q);
