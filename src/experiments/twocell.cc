@@ -50,6 +50,12 @@ class TwoCellSim {
       m.counter("twocell.new_blocked").add(result_.new_blocked);
       m.counter("twocell.handoff_attempts").add(result_.handoff_attempts);
       m.counter("twocell.handoff_dropped").add(result_.handoff_dropped);
+      if (config_.rule == AdmissionRule::kProbabilistic) {
+        const auto memo = model_->memo_stats();
+        m.counter("twocell.admit_memo.hits").add(memo.hits);
+        m.counter("twocell.admit_memo.misses").add(memo.misses);
+        m.counter("twocell.admit_memo.bytes").add(memo.bytes);
+      }
     }
     return result_;
   }

@@ -51,8 +51,10 @@ struct TwoCellConfig {
   /// model) by default — a disabled config draws no random numbers, so
   /// fault-free runs are byte-identical to pre-fault builds.
   fault::SignalingFaults faults{};
-  /// Optional observability: end-of-run metric export (sim.* totals plus
-  /// twocell.* attempt/block/drop counters) and simulator tracing.
+  /// Optional observability: end-of-run metric export (sim.* totals,
+  /// twocell.* attempt/block/drop counters and, for the probabilistic rule,
+  /// the admission memo's twocell.admit_memo.{hits,misses,bytes}) and
+  /// simulator tracing.
   obs::Registry* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };

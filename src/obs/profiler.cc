@@ -12,7 +12,7 @@ PhaseId Profiler::intern(std::string_view name) {
   for (std::size_t i = 0; i < phases_.size(); ++i) {
     if (phases_[i].name == name) return PhaseId(i);
   }
-  phases_.push_back(Phase{std::string(name), 0, 0, 0, 0, 0});
+  phases_.push_back(Phase{std::string(name)});
   return PhaseId(phases_.size() - 1);
 }
 
@@ -21,7 +21,8 @@ ProfileSnapshot Profiler::snapshot() const {
   snap.phases.reserve(phases_.size());
   for (const Phase& p : phases_) {
     if (p.calls == 0) continue;
-    snap.phases.push_back({p.name, p.calls, p.total_ns, p.self_ns, p.min_ns, p.max_ns});
+    snap.phases.push_back(
+        {p.name, p.calls, p.total_ns, p.self_ns, p.min_ns, p.max_ns, p.extremes_known});
   }
   std::sort(snap.phases.begin(), snap.phases.end(),
             [](const PhaseSample& a, const PhaseSample& b) { return a.name < b.name; });
@@ -37,10 +38,13 @@ void ProfileSnapshot::merge(const ProfileSnapshot& other) {
       if (it->calls == 0) {
         it->min_ns = theirs.min_ns;
         it->max_ns = theirs.max_ns;
+        it->extremes_known = theirs.extremes_known;
       } else if (theirs.calls > 0) {
         it->min_ns = std::min(it->min_ns, theirs.min_ns);
         it->max_ns = std::max(it->max_ns, theirs.max_ns);
+        it->extremes_known = it->extremes_known && theirs.extremes_known;
       }
+      if (!it->extremes_known) it->min_ns = it->max_ns = 0;
       it->calls += theirs.calls;
       it->total_ns += theirs.total_ns;
       it->self_ns += theirs.self_ns;
@@ -115,10 +119,14 @@ void ProfileSnapshot::write_json(std::ostream& os) const {
     json::write_number(os, p.total_ns);
     os << ",\"self_ns\":";
     json::write_number(os, p.self_ns);
-    os << ",\"min_ns\":";
-    json::write_number(os, p.min_ns);
-    os << ",\"max_ns\":";
-    json::write_number(os, p.max_ns);
+    if (p.extremes_known) {
+      os << ",\"min_ns\":";
+      json::write_number(os, p.min_ns);
+      os << ",\"max_ns\":";
+      json::write_number(os, p.max_ns);
+    } else {
+      os << ",\"min_ns\":null,\"max_ns\":null";
+    }
     os << '}';
   }
   os << '}';
@@ -182,7 +190,8 @@ void ProfileSnapshot::write_table(std::ostream& os) const {
          << p->calls << std::setw(10) << fmt_ns(double(p->total_ns)) << std::setw(10)
          << fmt_ns(double(p->self_ns)) << std::setw(10)
          << fmt_ns(p->calls ? double(p->total_ns) / double(p->calls) : 0.0)
-         << std::setw(10) << fmt_ns(double(p->max_ns)) << '\n';
+         << std::setw(10) << (p->extremes_known ? fmt_ns(double(p->max_ns)) : "-")
+         << '\n';
     }
   }
   if (!shards.empty()) {

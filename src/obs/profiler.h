@@ -49,7 +49,10 @@ inline constexpr PhaseId kInvalidPhase = ~PhaseId{0};
 
 /// Accumulated wall cost of one named phase. `total_ns` is inclusive of
 /// nested phases; `self_ns` excludes time attributed to children begun while
-/// this phase was the innermost open frame. min/max are per-call durations.
+/// this phase was the innermost open frame. min/max are per-call durations,
+/// known only while every call was timed on its own: a bulk record (one
+/// total over several calls) leaves them unknown (`extremes_known` false,
+/// min_ns = max_ns = 0, written as null in the JSON report).
 struct PhaseSample {
   std::string name;
   std::uint64_t calls = 0;
@@ -57,6 +60,7 @@ struct PhaseSample {
   std::uint64_t self_ns = 0;
   std::uint64_t min_ns = 0;
   std::uint64_t max_ns = 0;
+  bool extremes_known = true;
 };
 
 /// One execution lane of a sharded run (one worker thread). busy is time
@@ -173,7 +177,9 @@ class Profiler {
 
   /// Direct attribution of an externally measured duration: `calls`
   /// invocations costing `ns` in total (per-replication timings, aggregate
-  /// protocol rounds). Does not interact with the frame stack.
+  /// protocol rounds). Does not interact with the frame stack. With
+  /// calls > 1 the per-call durations are not known, so the phase's min/max
+  /// become unknown.
   void record(PhaseId id, std::uint64_t ns, std::uint64_t calls = 1) {
 #if IMRM_PROFILING
     if (!enabled_ || calls == 0) return;
@@ -216,6 +222,7 @@ class Profiler {
     std::uint64_t self_ns = 0;
     std::uint64_t min_ns = 0;
     std::uint64_t max_ns = 0;
+    bool extremes_known = true;
   };
   struct Frame {
     PhaseId id = kInvalidPhase;
@@ -226,12 +233,14 @@ class Profiler {
   void account(PhaseId id, std::uint64_t total, std::uint64_t self,
                std::uint64_t calls) {
     Phase& p = phases_[id];
-    const std::uint64_t per_call = calls > 1 ? total / calls : total;
-    if (p.calls == 0) {
-      p.min_ns = p.max_ns = per_call;
+    if (calls > 1) p.extremes_known = false;
+    if (!p.extremes_known) {
+      p.min_ns = p.max_ns = 0;
+    } else if (p.calls == 0) {
+      p.min_ns = p.max_ns = total;
     } else {
-      if (per_call < p.min_ns) p.min_ns = per_call;
-      if (per_call > p.max_ns) p.max_ns = per_call;
+      if (total < p.min_ns) p.min_ns = total;
+      if (total > p.max_ns) p.max_ns = total;
     }
     p.calls += calls;
     p.total_ns += total;

@@ -89,6 +89,8 @@ struct AdaptationBlock {
 };
 
 struct RunReport {
+  /// v6: a profile phase's `min_ns`/`max_ns` are null when unknown — when a
+  /// bulk record attributed one total to several calls.
   /// v5 (ISSUE 10): extends the profile's sharded section for window-batched
   /// barriers — `barriers` now counts coordinator dispatches (full-stop
   /// barriers), with new `windows`, `profiled_wall_ns` and a `batch_windows`
@@ -103,7 +105,7 @@ struct RunReport {
   /// `metrics` section layout is unchanged from v1, so metrics-section
   /// hashes (golden campus JSON, shard determinism checks) are comparable
   /// across the bumps.
-  static constexpr int kSchemaVersion = 5;
+  static constexpr int kSchemaVersion = 6;
 
   std::string tool;      // producing binary, e.g. "scenario_cli"
   std::string scenario;  // subcommand / experiment name

@@ -313,7 +313,7 @@ TEST(RunReport, WritesVersionedJson) {
   std::ostringstream os;
   report.write_json(os);
   const std::string json = os.str();
-  EXPECT_NE(json.find("\"schema_version\":5"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\":6"), std::string::npos);
   EXPECT_NE(json.find("\"scenario\":\"unit\""), std::string::npos);
   EXPECT_NE(json.find("\"events_per_second\":2000"), std::string::npos);
   EXPECT_NE(json.find("\"c\":2"), std::string::npos);

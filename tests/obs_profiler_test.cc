@@ -12,6 +12,7 @@
 
 using namespace imrm;
 using obs::PhaseId;
+using obs::PhaseSample;
 using obs::Profiler;
 using obs::ProfileSnapshot;
 
@@ -100,16 +101,64 @@ TEST(Profiler, RecordAccumulatesAndTracksPerCallExtremes) {
   profiler.set_enabled(true);
   const PhaseId p = profiler.intern("ext");
   profiler.record(p, 100);
-  profiler.record(p, 900, 3);  // 300 ns per call
+  profiler.record(p, 300, 1);
   profiler.record(p, 50);
   profiler.record(p, 0, 0);  // zero calls: ignored
   const ProfileSnapshot snap = profiler.snapshot();
   ASSERT_EQ(snap.phases.size(), 1u);
-  EXPECT_EQ(snap.phases[0].calls, 5u);
-  EXPECT_EQ(snap.phases[0].total_ns, 1050u);
-  EXPECT_EQ(snap.phases[0].self_ns, 1050u);
+  EXPECT_EQ(snap.phases[0].calls, 3u);
+  EXPECT_EQ(snap.phases[0].total_ns, 450u);
+  EXPECT_EQ(snap.phases[0].self_ns, 450u);
+  EXPECT_TRUE(snap.phases[0].extremes_known);
   EXPECT_EQ(snap.phases[0].min_ns, 50u);
   EXPECT_EQ(snap.phases[0].max_ns, 300u);
+}
+
+TEST(Profiler, BulkRecordLeavesExtremesUnknown) {
+  // One total over several calls says nothing about the slowest or fastest
+  // call: the phase's min/max must not pretend to be the mean.
+  Profiler profiler;
+  profiler.set_enabled(true);
+  const PhaseId bulk = profiler.intern("bulk");
+  const PhaseId mixed = profiler.intern("mixed");
+  profiler.record(bulk, 2553, 3);
+  profiler.record(mixed, 100);
+  profiler.record(mixed, 900, 3);
+  profiler.record(mixed, 50);
+  const ProfileSnapshot snap = profiler.snapshot();
+  ASSERT_EQ(snap.phases.size(), 2u);
+  for (const PhaseSample& p : snap.phases) {
+    EXPECT_FALSE(p.extremes_known) << p.name;
+    EXPECT_EQ(p.min_ns, 0u) << p.name;
+    EXPECT_EQ(p.max_ns, 0u) << p.name;
+  }
+  EXPECT_EQ(snap.phases[0].calls, 3u);
+  EXPECT_EQ(snap.phases[0].total_ns, 2553u);
+  EXPECT_EQ(snap.phases[1].calls, 5u);
+  EXPECT_EQ(snap.phases[1].total_ns, 1050u);
+
+  std::ostringstream json;
+  snap.write_json(json);
+  EXPECT_NE(json.str().find("\"bulk\":{\"calls\":3,\"total_ns\":2553,\"self_ns\":2553,"
+                            "\"min_ns\":null,\"max_ns\":null}"),
+            std::string::npos)
+      << json.str();
+  std::ostringstream table;
+  snap.write_table(table);
+  // The mean column shows 851ns once; the max column shows no number.
+  EXPECT_NE(table.str().find("851ns"), std::string::npos) << table.str();
+  EXPECT_EQ(table.str().find("851ns"), table.str().rfind("851ns")) << table.str();
+
+  // Merging an unknown phase into a known one leaves it unknown.
+  Profiler timed;
+  timed.set_enabled(true);
+  timed.record(timed.intern("bulk"), 10);
+  ProfileSnapshot merged = timed.snapshot();
+  ASSERT_TRUE(merged.phases[0].extremes_known);
+  merged.merge(snap);
+  EXPECT_FALSE(merged.phases[0].extremes_known);
+  EXPECT_EQ(merged.phases[0].calls, 4u);
+  EXPECT_EQ(merged.phases[0].max_ns, 0u);
 }
 
 TEST(Profiler, SnapshotOmitsNeverBegunPhases) {
@@ -192,7 +241,7 @@ TEST(RunReport, ProfileBlockPresentExactlyWhenNonEmpty) {
   report.wall_seconds = 1.0;
   const std::string without = report_json(report);
   EXPECT_EQ(without.find("\"profile\""), std::string::npos);
-  EXPECT_NE(without.find("\"schema_version\":5"), std::string::npos);
+  EXPECT_NE(without.find("\"schema_version\":6"), std::string::npos);
 
   Profiler profiler;
   profiler.set_enabled(true);

@@ -4,7 +4,7 @@
 # already exposes. Each sanitizer gets its own build tree so the
 # instrumented objects never mix with the regular build (or each other).
 #
-# Usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|profiles|all]
+# Usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|profiles|paper|all]
 #        (default: all)
 #        checkpoint = asan+ubsan over the `checkpoint`-labelled tests only —
 #        the serialization/restore code paths (fast: one instrumented tree,
@@ -29,6 +29,9 @@
 #        profiles = asan+ubsan over the `profiles`-labelled tests only — the
 #        history window's inline-then-heap storage with hand-written copy and
 #        move, and the profile/prediction suites that exercise it.
+#        paper = asan+ubsan over the `paper`-labelled tests only — the
+#        executable paper figures, which run the memoized eq. 5-6 admission
+#        rule (bitset memo, in-place pmf tables) on ReplicationRunner threads.
 # Env:   CMAKE_ARGS  extra configure flags (e.g. -DCMAKE_CXX_COMPILER=clang++)
 #        CTEST_ARGS  extra ctest flags (e.g. -R fault)
 #
@@ -67,12 +70,13 @@ case "$which" in
   scale) run_one asan-scale "address;undefined" "-L scale" ;;
   adapt) run_one asan-adapt "address;undefined" "-L adapt" ;;
   profiles) run_one asan-profiles "address;undefined" "-L profiles" ;;
+  paper) run_one asan-paper "address;undefined" "-L paper" ;;
   all)
     run_one asan "address;undefined"
     run_one tsan "thread"
     ;;
   *)
-    echo "usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|profiles|all]" >&2
+    echo "usage: tools/run_sanitizers.sh [asan|tsan|checkpoint|ubsan-checkpoint|shard|serve|scale|adapt|profiles|paper|all]" >&2
     exit 2
     ;;
 esac

@@ -2,10 +2,16 @@
 """Validate imrm run reports and Chrome traces (stdlib only).
 
 A run report is the JSON written by ``scenario_cli --metrics-json`` (schema
-version 5, produced by obs::RunReport::write_json); a trace is the Chrome
+version 6, produced by obs::RunReport::write_json); a trace is the Chrome
 trace_event JSON written by ``--trace-out`` (loadable in Perfetto / about
 chrome://tracing). This script is the machine-checkable contract for both
 formats and runs under ctest (see examples/CMakeLists.txt).
+
+Schema v6 delta: a profile phase's ``min_ns`` and ``max_ns`` are both null
+when the per-call extremes are unknown, which is the case once a bulk record
+(one measured total over several calls) has been attributed to the phase.
+Otherwise both are non-negative ints with ``min_ns <= max_ns``. Everything
+else is unchanged from v5.
 
 Schema v5 delta (ISSUE 10): the profile's sharded section reflects
 window-batched barriers — ``barriers`` now counts coordinator dispatches
@@ -50,7 +56,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 TRACE_PHASES = {"i", "X", "C", "M"}
 
 
@@ -139,9 +145,19 @@ def validate_profile(profile):
     for name, p in phases.items():
         where = f"profile phase {name!r}"
         _expect(isinstance(p, dict), f"{where} must be an object")
-        for key in ("calls", "total_ns", "self_ns", "min_ns", "max_ns"):
+        for key in ("calls", "total_ns", "self_ns"):
             _expect(_is_count(p.get(key)),
                     f"{where}: {key} must be a non-negative int")
+        for key in ("min_ns", "max_ns"):
+            _expect(key in p, f"{where}: missing key {key!r}")
+        if p["min_ns"] is None or p["max_ns"] is None:
+            _expect(p["min_ns"] is None and p["max_ns"] is None,
+                    f"{where}: min_ns and max_ns must be unknown (null) together")
+        else:
+            for key in ("min_ns", "max_ns"):
+                _expect(_is_count(p[key]),
+                        f"{where}: {key} must be a non-negative int or null")
+            _expect(p["min_ns"] <= p["max_ns"], f"{where}: min_ns > max_ns")
         _expect(p["calls"] > 0, f"{where}: zero-call phases must be omitted")
         _expect(p["self_ns"] <= p["total_ns"], f"{where}: self_ns > total_ns")
     if "shards" not in profile:
