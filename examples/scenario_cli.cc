@@ -463,10 +463,7 @@ int run_campus_sharded_cmd(const Flags& flags, ObsSession& obs, std::size_t shar
   config.progress = obs.progress_or_null();
   obs.config_echo("cells", fmt_count(double(cells)));
   obs.config_echo("shards", fmt_count(double(shards)));
-  // batch is execution-only; echo it only when explicitly set so default
-  // runs keep their pre-batching config fingerprint (bench_compare.py keys
-  // trajectory entries on the config echo).
-  if (batch > 0) obs.config_echo("batch", fmt_count(double(batch)));
+  obs.config_echo("batch", fmt_count(double(batch)));
   obs.config_echo("portables", fmt_count(double(portables)));
   obs.config_echo("seed", fmt_count(double(config.seed)));
   obs.config_echo("hours", stats::fmt(hours, 2));
@@ -893,7 +890,7 @@ int run_campus_scale_cmd(const Flags& flags, ObsSession& obs) {
     // value); tools/check_shard_determinism.py strips these two echo keys
     // before comparing reports across the (shards, batch) sweep.
     obs.config_echo("shards", fmt_count(double(shards)));
-    if (batch > 0) obs.config_echo("batch", fmt_count(double(batch)));
+    obs.config_echo("batch", fmt_count(double(batch)));
     const CampusScaleResult r = run_campus_scale_sharded(config);
     // No dispatch count here: stdout must stay byte-identical across batch
     // sizes (dispatches vary; windows and boundary messages do not).

@@ -25,14 +25,16 @@
 //
 // What ISSUE 10 changes is *who synchronizes where*, not the window
 // sequence. ISSUE 5 paid a full coordinator round trip (mutex + two condvar
-// hops + a sleeping-thread wakeup) per window — BENCH_5/BENCH_7 measured
-// ~80k such barriers on the campus day with ~1.2 events between them, ~90%
-// of worker wall in `barrier_wait`. Now the coordinator dispatches a *burst*
-// of up to `batch` windows at a time. Inside a burst, workers meet at a
-// lightweight sense-reversing atomic barrier between sub-windows; the last
-// worker to arrive (the serializer) performs the exchange, scans the queue
-// heads for the next window target, and publishes it (or the burst-done
-// flag) before releasing the others with one release-ordered phase bump.
+// hops + a sleeping-thread wakeup) per window — the retired trajectory
+// files (`git show a907a96:BENCH_5.json`, `git show a907a96:BENCH_7.json`)
+// measured ~80k such barriers on the campus day with ~1.2 events between
+// them, ~90% of worker wall in `barrier_wait`. Now the coordinator
+// dispatches a *burst* of up to `batch` windows at a time. Inside a burst,
+// workers meet at a lightweight sense-reversing atomic barrier between
+// sub-windows; the last worker to arrive (the serializer) performs the
+// exchange, scans the queue heads for the next window target, and
+// publishes it (or the burst-done flag) before releasing the others with
+// one release-ordered phase bump.
 // Boundary messages thus ship in per-sub-window batches without the
 // coordinator ever waking: condvar round trips drop by the batch factor,
 // which is what the ISSUE 10 acceptance criterion counts (`Stats::

@@ -5,6 +5,7 @@
 // max-min fixed point. The loop is deterministic (same seed -> byte-equal
 // metrics), thread-stable in sweeps, refuses checkpoint/resume, and — when
 // disabled — leaves no trace in the metrics at all.
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -51,6 +52,35 @@ TEST(CampusAdaptLoop, ConvergesBackToPrefaultFixedPoint) {
             double(config.adapt.flows) * config.adapt.b_min - 1e-6);
   // ...and after the heal the ramp + snap reproduced it bit-exactly.
   EXPECT_EQ(r.adapt_granted_final_bps, r.adapt_granted_prefault_bps);
+}
+
+// Golden outcome of the quiet adaptation day (seed 5, four streams, the
+// default 0.8 fault over minutes [60, 100)): the same numbers as
+// `scenario_cli campus --adapt-loop 1 --attendees 0 --squatters 0 --seed 5`
+// reports in its adaptation block. A change to the controller, the shaper,
+// the estimators or the grant arithmetic moves them; a deliberate
+// re-baseline must say why.
+TEST(CampusAdaptLoop, QuietDayMatchesGoldenOutcome) {
+  obs::Registry registry;
+  CampusDayConfig config = quiet_adapt_config();
+  config.metrics = &registry;
+  const CampusDayResult r = run_campus_day(config);
+  const obs::Snapshot snapshot = registry.snapshot();
+  const auto count = [&snapshot](const char* name) -> std::uint64_t {
+    const obs::CounterSample* c = snapshot.counter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c == nullptr ? 0 : c->value;
+  };
+  EXPECT_EQ(count("adapt.renegotiations_triggered"), 204u);
+  EXPECT_EQ(count("adapt.renegotiations_accepted"), 204u);
+  EXPECT_EQ(r.renegotiations, 204u);
+  EXPECT_EQ(count("adapt.windows_breached"), 320u);
+  EXPECT_EQ(count("adapt.shaper_offered_bits"), 11059456000u);
+  EXPECT_EQ(count("adapt.shaper_nonconforming_bits"), 2156800000u);
+  // Bit-exact, not approximately: the grant trajectory is deterministic.
+  EXPECT_EQ(r.adapt_granted_prefault_bps, 1024000.0);
+  EXPECT_EQ(r.adapt_granted_min_bps, 128000.0000008149);
+  EXPECT_EQ(r.adapt_granted_final_bps, 1024000.0);
 }
 
 TEST(CampusAdaptLoop, FaultFreeLoopHoldsTheFixedPoint) {

@@ -1,6 +1,10 @@
 // Tests for the campus-at-scale harness: both grid engines must reproduce
 // their pinned outcomes exactly, runs must be deterministic, and the grid
 // floorplan must be a valid walkable map.
+#include <cstdint>
+#include <ostream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "experiments/campus_scale.h"
@@ -57,6 +61,62 @@ TEST(CampusScale, ShardedMatchesGoldenOutcome) {
                 {13382417212148687724ull, 8156, 6156, 500, 0, 3859, 274, 2327, 500,
                  77056});  // 154.112 bytes/portable
 }
+
+// Golden event counts and state sizes of the monolith over the
+// {10, 100, 1000} cells x {1k, 10k, 100k} portables grid (one simulated
+// hour, 5 s tick, seed 5): the events_fired and scale.bytes_per_portable of
+// `scenario_cli campus-scale --cells C --portables P --duration 3600
+// --tick 5 --seed 5`. Each point is its own ctest so that they run in
+// parallel. The 1000 x 100k point (about 7 s and 370 MiB) is left out: it
+// is the benchmark's grid_campus workload, whose outcome line carries the
+// same event count.
+struct GridPoint {
+  std::size_t cells, portables;
+  std::uint64_t events;
+  std::size_t state_bytes;
+};
+
+void PrintTo(const GridPoint& g, std::ostream* os) {
+  *os << g.cells << " cells x " << g.portables << " portables";
+}
+
+class CampusScaleGrid : public testing::TestWithParam<GridPoint> {};
+
+TEST_P(CampusScaleGrid, MonolithMatchesGoldenOutcome) {
+  const GridPoint& g = GetParam();
+  obs::Registry registry;
+  CampusScaleConfig config;
+  config.cells = g.cells;
+  config.portables = g.portables;
+  config.duration = sim::Duration::seconds(3600);
+  config.tick = sim::Duration::seconds(5);
+  config.seed = 5;
+  config.metrics = &registry;
+  const CampusScaleResult r = run_campus_scale(config);
+  EXPECT_EQ(r.events, g.events);
+  EXPECT_EQ(r.state_bytes, g.state_bytes);
+  const obs::Snapshot snap = registry.snapshot();
+  ASSERT_NE(snap.counter("sim.events_fired"), nullptr);
+  EXPECT_EQ(snap.counter("sim.events_fired")->value, g.events);
+  ASSERT_NE(snap.gauge("scale.bytes_per_portable"), nullptr);
+  EXPECT_DOUBLE_EQ(snap.gauge("scale.bytes_per_portable")->value,
+                   double(g.state_bytes) / double(g.portables));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Hour, CampusScaleGrid,
+    testing::Values(GridPoint{10, 1000, 13000, 764184},
+                    GridPoint{10, 10000, 130000, 6541568},
+                    GridPoint{10, 100000, 1300000, 71322992},
+                    GridPoint{100, 1000, 28390, 1753344},
+                    GridPoint{100, 10000, 284708, 15494296},
+                    GridPoint{100, 100000, 2847578, 149791768},
+                    GridPoint{1000, 1000, 66006, 4947112},
+                    GridPoint{1000, 10000, 673009, 37344776}),
+    [](const testing::TestParamInfo<GridPoint>& info) {
+      return "c" + std::to_string(info.param.cells) + "_p" +
+             std::to_string(info.param.portables);
+    });
 
 TEST(CampusScale, RunsAreDeterministic) {
   const CampusScaleResult a = run_campus_scale(small_config());

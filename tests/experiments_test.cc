@@ -203,30 +203,6 @@ TEST(Fig4, FanoutFractionsMatchMeasurements) {
   EXPECT_NEAR(double(r.others.to_a) / double(r.others.total()), 39.0 / 1384.0, 0.03);
 }
 
-TEST(Fig4, PortableProfilePredictionIsAccurate) {
-  Fig4Config config;
-  config.hours = 200.0;
-  const Fig4Result r = run_fig4(config);
-  // Habitual users are predictable: the level-1 predictor should beat 75%
-  // (the faculty member goes to A 74% of the time from the decision point,
-  // and most other states are deterministic walks).
-  ASSERT_GT(r.portable_profile.predictions, 1000u);
-  EXPECT_GT(r.portable_profile.accuracy(), 0.75);
-}
-
-TEST(Fig4, BruteForceReservationIsWasteful) {
-  Fig4Config config;
-  config.hours = 100.0;
-  const Fig4Result r = run_fig4(config);
-  // Brute force reserves in every neighbor; the predictive scheme reserves
-  // once per handoff. The measured factor should be well above 2x.
-  ASSERT_GT(r.total_handoffs, 0u);
-  EXPECT_GT(double(r.brute_force_reservations),
-            2.0 * double(r.predictive_reservations));
-  // And the predictive reservations are mostly *useful*.
-  EXPECT_GT(double(r.predictive_hits) / double(r.predictive_reservations), 0.7);
-}
-
 TEST(Fig4, Deterministic) {
   Fig4Config config;
   config.hours = 20.0;

@@ -336,6 +336,27 @@ TEST(ServeSoak, VirtualPacingIsDeterministic) {
   EXPECT_NE(a.service.offered, c.service.offered);
 }
 
+// Golden outcome of the past-saturation virtual run (7500 req/s for 5 s,
+// queue capacity 16, seed 11): the counters and virtual-time latency
+// percentiles `scenario_cli drive --transport ring --pacing virtual
+// --rate 7500 --duration 5 --portables 64 --cells 16 --seed 11
+// --queue-cap 16` reports in its service block. A change to the service,
+// the governor, the driver's arrivals or the admission path moves them; a
+// deliberate re-baseline must say why.
+TEST(ServeSoak, PastSaturationRunMatchesGoldenOutcome) {
+  const SoakResult run = run_soak(7500.0, 5.0, 16, 11);
+
+  EXPECT_EQ(run.service.offered, 37409u);
+  EXPECT_EQ(run.service.processed, 25013u);
+  EXPECT_EQ(run.service.shed, 12396u);
+  EXPECT_EQ(run.service.errors, 13u);
+  EXPECT_EQ(run.service.admit_accepted, 6707u);
+  EXPECT_EQ(run.service.admit_rejected, 0u);
+  EXPECT_EQ(run.service.handoffs, 6323u);
+  EXPECT_EQ(run.p50_us, 2103.625870646766);  // bit-identical, not approximately
+  EXPECT_EQ(run.p99_us, 2999.959139365703);
+}
+
 // ---- LoadDriver Poisson arrivals ----------------------------------------
 
 DriveStats drive_poisson(double rate, double duration_s, std::uint64_t seed,

@@ -41,6 +41,27 @@ TEST(ShardedCampus, MetricsAreByteIdenticalAcrossShardCounts) {
   }
 }
 
+// Golden event count of the 32-cell, 4-hour corridor (32 portables per
+// cell, seed 11) at K = 1 and 4: the events_fired of `scenario_cli campus
+// --shards K --cells 32 --portables 32 --hours 4 --seed 11`. A change to
+// the scenario's decisions or to the runner's event accounting moves it; a
+// deliberate re-baseline must say why.
+TEST(ShardedCampus, CorridorDayMatchesGoldenEventCount) {
+  for (const std::size_t shards : {1, 4}) {
+    ShardedCampusConfig config;
+    config.cells = 32;
+    config.shards = shards;
+    config.portables_per_cell = 32;
+    config.horizon = sim::SimTime::hours(4);
+    config.seed = 11;
+    const ShardedCampusResult r = run_sharded_campus(config);
+    EXPECT_EQ(r.events_fired, 97130u) << "shards=" << shards;
+    const obs::CounterSample* fired = r.metrics.counter("sim.events_fired");
+    ASSERT_NE(fired, nullptr) << "shards=" << shards;
+    EXPECT_EQ(fired->value, 97130u) << "shards=" << shards;
+  }
+}
+
 TEST(ShardedCampus, RepeatedRunsAreByteIdentical) {
   const std::string a = metrics_json(run_sharded_campus(small_config(4)));
   const std::string b = metrics_json(run_sharded_campus(small_config(4)));

@@ -187,7 +187,8 @@ TEST(ShardedRunner, ExecutionIsInvariantAcrossBatchSizes) {
 }
 
 // The ISSUE 10 point: bursts collapse coordinator dispatches. A sustained
-// one-event-per-window ping-pong is the BENCH_7 pathology in miniature —
+// one-event-per-window ping-pong is the ~80k-barrier corridor day of
+// `git show a907a96:BENCH_7.json` in miniature —
 // batch=1 pays one dispatch per window, batch=64 one per 64, and the
 // adaptive controller must land well under the unbatched count too.
 TEST(ShardedRunner, BatchingCollapsesCoordinatorDispatches) {

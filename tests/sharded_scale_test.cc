@@ -7,11 +7,13 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "experiments/campus_scale.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 
 namespace imrm::experiments {
 namespace {
@@ -31,12 +33,14 @@ struct Outcome {
   std::string metrics_json;
 };
 
-Outcome run(std::size_t shards, std::size_t batch) {
+Outcome run(std::size_t shards, std::size_t batch,
+            obs::Profiler* profiler = nullptr) {
   obs::Registry registry;
   CampusScaleConfig config = small_config();
   config.shards = shards;
   config.batch = batch;
   config.metrics = &registry;
+  config.profiler = profiler;
   Outcome out;
   out.result = run_campus_scale_sharded(config);
   std::ostringstream os;
@@ -78,6 +82,41 @@ TEST(ShardedScale, ByteIdenticalAcrossShardAndBatchCounts) {
   }
 }
 
+// Golden runner totals of the 100-cell, 10k-portable hour (seed 5, 5 s
+// tick) at K = 1 and 4: what `scenario_cli campus-scale --cells 100
+// --portables 10000 --duration 3600 --tick 5 --seed 5 --shards K` reports
+// as events_fired, shard.windows and shard.boundary_messages. These are
+// shard-invariant, so a change here is a change to the engine's decisions
+// or to the window/message accounting; a deliberate re-baseline must say
+// why.
+TEST(ShardedScale, HundredCellHourMatchesGoldenTotals) {
+  for (const std::size_t shards : {std::size_t(1), std::size_t(4)}) {
+    obs::Registry registry;
+    CampusScaleConfig config;
+    config.cells = 100;
+    config.portables = 10000;
+    config.duration = sim::Duration::seconds(3600);
+    config.tick = sim::Duration::seconds(5);
+    config.seed = 5;
+    config.shards = shards;
+    config.metrics = &registry;
+    const CampusScaleResult r = run_campus_scale_sharded(config);
+    const std::string label = "shards=" + std::to_string(shards);
+    EXPECT_EQ(r.events, 284708u) << label;
+    EXPECT_EQ(r.windows, 469u) << label;
+    EXPECT_EQ(r.boundary_messages, 406916u) << label;
+    const obs::Snapshot snap = registry.snapshot();
+    for (const auto& [name, golden] :
+         {std::pair<const char*, std::uint64_t>{"sim.events_fired", 284708},
+          {"shard.windows", 469},
+          {"shard.boundary_messages", 406916}}) {
+      const obs::CounterSample* c = snap.counter(name);
+      ASSERT_NE(c, nullptr) << label << ' ' << name;
+      EXPECT_EQ(c->value, golden) << label << ' ' << name;
+    }
+  }
+}
+
 TEST(ShardedScale, EveryPortableAppearsAndDeparts) {
   const Outcome out = run(2, 0);
   EXPECT_EQ(out.result.departures, small_config().portables);
@@ -97,6 +136,18 @@ TEST(ShardedScale, DispatchesVaryWithBatchButNeverLeak) {
   EXPECT_GT(unbatched.result.dispatches, batched.result.dispatches);
   EXPECT_EQ(unbatched.metrics_json, batched.metrics_json);
   EXPECT_EQ(unbatched.metrics_json.find("dispatch"), std::string::npos);
+}
+
+TEST(ShardedScale, ProfilingLeavesMetricsByteIdentical) {
+  // The profiler reads clocks only; it must never schedule, so an enabled
+  // profiler leaves the outcome and the metrics bytes unchanged.
+  obs::Profiler profiler;
+  profiler.set_enabled(true);
+  const Outcome profiled = run(2, 0, &profiler);
+  const Outcome clean = run(2, 0);
+  EXPECT_EQ(profiled.result.outcome_hash, clean.result.outcome_hash);
+  EXPECT_EQ(profiled.metrics_json, clean.metrics_json);
+  EXPECT_EQ(profiled.result.profile.empty(), !obs::Profiler::compiled_in());
 }
 
 TEST(ShardedScale, SeedChangesOutcome) {
